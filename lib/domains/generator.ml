@@ -70,12 +70,13 @@ let hierarchy spec =
   let children = List.map (fun opt -> (opt, Cdo.leaf_exn ~name:opt [])) options in
   Hierarchy.create_exn (Cdo.node_exn ~name:"Gen" (budgets @ plain) ~issue ~children)
 
-(* The elimination predicate both evaluation paths share: a weighted sum
-   of [fanin] merit readings against the entered budget.  [get] is the
-   only thing that differs between the per-core closure (assoc lookup on
-   the core) and the columnar kernel (flat array read) — the
-   floating-point accumulation is this exact loop either way, so
-   verdicts and signatures stay bit-identical across sweep modes. *)
+(* The elimination predicate: a weighted sum of [fanin] merit readings
+   against the entered budget; a core missing any of them is kept.  The
+   per-core closure runs this loop over assoc lookups on the core; the
+   columnar kernel below repeats it over the flat merit columns without
+   allocating per core.  Both accumulate in the same order, so verdicts
+   and signatures stay bit-identical (the equivalence suite checks
+   it). *)
 let decide ~fanin ~weights ~bound ~get =
   let acc = ref 0.0 in
   let missing = ref false in
@@ -104,16 +105,26 @@ let constraints spec =
         (Consistency.eliminate
            ~vectorized:(fun env store ->
              match env.Consistency.value_of budget with
-             | Some (Value.Real bound) ->
-               let cols = Array.map (fun m -> Columnar.merit_column store m) cc_merits in
-               Some
-                 (fun id ->
-                   decide ~fanin:spec.fanin ~weights ~bound ~get:(fun f ->
-                       match Array.unsafe_get cols f with
-                       | Some (values, present) ->
-                         if Bitset.mem present id then Some (Array.unsafe_get values id)
-                         else None
-                       | None -> None))
+             | Some (Value.Real bound) -> (
+               match Array.map (fun m -> Columnar.merit_column store m) cc_merits with
+               | cols when Array.for_all Option.is_some cols ->
+                 let values = Array.map (fun c -> fst (Option.get c)) cols in
+                 let present = Array.map (fun c -> snd (Option.get c)) cols in
+                 let fanin = spec.fanin in
+                 Some
+                   (fun id ->
+                     let acc = ref 0.0 and complete = ref true in
+                     for f = 0 to fanin - 1 do
+                       if Bitset.mem (Array.unsafe_get present f) id then
+                         acc :=
+                           !acc
+                           +. (Array.unsafe_get weights f
+                              *. Array.unsafe_get (Array.unsafe_get values f) id)
+                       else complete := false
+                     done;
+                     !complete && !acc > bound)
+               (* a merit column no core carries: every core misses it *)
+               | _ -> Some (fun _ -> false))
              | Some _ | None -> Some (fun _ -> false))
            (fun env core ->
              match env.Consistency.value_of budget with
@@ -151,6 +162,6 @@ let cores spec =
       in
       ("gen/" ^ core.Core.id, core))
 
-let session ?use_cache ?sweep_mode spec =
+let session ?use_cache spec =
   Session.create ~hierarchy:(hierarchy spec) ~constraints:(constraints spec) ?use_cache
-    ?sweep_mode ~cores:(cores spec) ()
+    ~cores:(cores spec) ()

@@ -16,7 +16,7 @@ type t = {
   stop : bool Atomic.t;
   lock : Mutex.t;
   active : (Unix.file_descr, unit) Hashtbl.t;
-  mutable threads : Thread.t list;
+  drained : Condition.t;  (* signalled when [active] empties *)
   mutable served : int;
   counter : int Atomic.t;  (* minted-session-id sequence *)
   pid : int;
@@ -31,22 +31,6 @@ type t = {
   c_passthrough : Obs.counter;
 }
 
-let env_idle_timeout () =
-  match Sys.getenv_opt "DSE_IDLE_TIMEOUT" with
-  | Some s -> (
-    match float_of_string_opt (String.trim s) with
-    | Some f when f > 0.0 -> Some f
-    | _ -> None)
-  | None -> None
-
-let env_pipeline_depth () =
-  match Sys.getenv_opt "DSE_PIPELINE_DEPTH" with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some d -> Some (Stdlib.min 1024 (Stdlib.max 1 d))
-    | None -> None)
-  | None -> None
-
 let create ~socket ~workers ?(slots = 8) ?(max_request = 1024 * 1024) ?pipeline_depth
     ?(thin_parse = true) ?idle_timeout () =
   (try Unix.unlink socket with Unix.Unix_error _ -> ());
@@ -54,14 +38,6 @@ let create ~socket ~workers ?(slots = 8) ?(max_request = 1024 * 1024) ?pipeline_
   Unix.bind listen_fd (Unix.ADDR_UNIX socket);
   Unix.listen listen_fd 128;
   let registry = Obs.create_registry () in
-  let idle_timeout =
-    match idle_timeout with Some _ as t -> t | None -> env_idle_timeout ()
-  in
-  let pipeline_depth =
-    match pipeline_depth with
-    | Some d -> Stdlib.min 1024 (Stdlib.max 1 d)
-    | None -> ( match env_pipeline_depth () with Some d -> d | None -> 16)
-  in
   {
     socket;
     listen_fd;
@@ -70,13 +46,13 @@ let create ~socket ~workers ?(slots = 8) ?(max_request = 1024 * 1024) ?pipeline_
       List.map (fun (name, sock) -> (name, Backend.create ~slots ~name ~socket:sock ())) workers;
     registry;
     max_request = Stdlib.max 1024 max_request;
-    pipeline_depth;
+    pipeline_depth = Ds_serve.Server.resolve_pipeline_depth pipeline_depth;
     thin_parse;
-    idle_timeout;
+    idle_timeout = Ds_serve.Server.resolve_idle_timeout idle_timeout;
     stop = Atomic.make false;
     lock = Mutex.create ();
     active = Hashtbl.create 64;
-    threads = [];
+    drained = Condition.create ();
     served = 0;
     counter = Atomic.make 0;
     pid = Unix.getpid ();
@@ -880,6 +856,7 @@ let serve_connection t fd =
   Hashtbl.remove t.active fd;
   t.served <- t.served + 1;
   try_close fd;
+  if Hashtbl.length t.active = 0 then Condition.broadcast t.drained;
   Mutex.unlock t.lock
 
 let serve t =
@@ -896,11 +873,13 @@ let serve t =
         | fd, _ ->
           Mutex.lock t.lock;
           Hashtbl.replace t.active fd ();
+          Mutex.unlock t.lock;
           (* thread per connection: the router's work per request is a
              parse and two line copies, so connections are I/O-bound
-             and hundreds of systhreads overlap fine *)
-          t.threads <- Thread.create (fun () -> serve_connection t fd) () :: t.threads;
-          Mutex.unlock t.lock
+             and hundreds of systhreads overlap fine.  The handle is
+             dropped: [serve] drains on [active], so nothing outlives
+             the connection *)
+          ignore (Thread.create (fun () -> serve_connection t fd) ())
         | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> ())
       | _ -> ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
@@ -913,8 +892,9 @@ let serve t =
   Hashtbl.iter
     (fun fd () -> try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
     t.active;
-  let threads = t.threads in
+  while Hashtbl.length t.active > 0 do
+    Condition.wait t.drained t.lock
+  done;
   Mutex.unlock t.lock;
-  List.iter (fun th -> try Thread.join th with _ -> ()) threads;
   List.iter (fun (_, b) -> Backend.close b) t.backends;
   try Unix.unlink t.socket with Unix.Unix_error _ -> ()

@@ -94,8 +94,8 @@ val http_routes : t -> string -> Ds_serve.Httpd.reply option
 val registry : t -> Ds_obs.Obs.registry
 
 val serve : t -> unit
-(** Accept until {!shutdown}; joins connection threads, closes
-    backends, unlinks the socket. *)
+(** Accept until {!shutdown}; waits until every connection has closed,
+    closes backends, unlinks the socket. *)
 
 val shutdown : t -> unit
 (** Idempotent, signal-handler safe. *)

@@ -24,28 +24,27 @@ type t = {
   idle_reaped : Obs.counter;
 }
 
+let env_trimmed name parse = Option.bind (Sys.getenv_opt name) (fun s -> parse (String.trim s))
+
 (* DSE_IDLE_TIMEOUT: seconds of client silence before the server closes
    the connection (default off) — leaked clients must not pin fleet
    router/worker fds forever. *)
-let env_idle_timeout () =
-  match Sys.getenv_opt "DSE_IDLE_TIMEOUT" with
-  | Some s -> (
-    match float_of_string_opt (String.trim s) with
+let resolve_idle_timeout = function
+  | Some _ as t -> t
+  | None -> (
+    match env_trimmed "DSE_IDLE_TIMEOUT" float_of_string_opt with
     | Some f when f > 0.0 -> Some f
     | _ -> None)
-  | None -> None
 
 (* DSE_PIPELINE_DEPTH: how many requests one connection may have in
    flight (decoded ahead of dispatch) before the reader stops reading;
    default 16, clamped to 1..1024.  Depth 1 is the historical strict
    request/reply lockstep. *)
-let env_pipeline_depth () =
-  match Sys.getenv_opt "DSE_PIPELINE_DEPTH" with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some d -> Some (Stdlib.min 1024 (Stdlib.max 1 d))
-    | None -> None)
-  | None -> None
+let resolve_pipeline_depth depth =
+  let depth =
+    match depth with Some _ -> depth | None -> env_trimmed "DSE_PIPELINE_DEPTH" int_of_string_opt
+  in
+  match depth with Some d -> Stdlib.min 1024 (Stdlib.max 1 d) | None -> 16
 
 let create ~socket ?(pool = 8) ?(max_request = 1024 * 1024) ?pipeline_depth ?idle_timeout
     service =
@@ -54,14 +53,6 @@ let create ~socket ?(pool = 8) ?(max_request = 1024 * 1024) ?pipeline_depth ?idl
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX socket);
   Unix.listen listen_fd 64;
-  let idle_timeout =
-    match idle_timeout with Some _ as t -> t | None -> env_idle_timeout ()
-  in
-  let pipeline_depth =
-    match pipeline_depth with
-    | Some d -> Stdlib.min 1024 (Stdlib.max 1 d)
-    | None -> ( match env_pipeline_depth () with Some d -> d | None -> 16)
-  in
   {
     service;
     socket;
@@ -74,8 +65,8 @@ let create ~socket ?(pool = 8) ?(max_request = 1024 * 1024) ?pipeline_depth ?idl
     stop = Atomic.make false;
     active = Hashtbl.create 16;
     served = 0;
-    idle_timeout;
-    pipeline_depth;
+    idle_timeout = resolve_idle_timeout idle_timeout;
+    pipeline_depth = resolve_pipeline_depth pipeline_depth;
     idle_reaped = Obs.counter (Service.registry service) "dse_serve_idle_reaped_total";
   }
 

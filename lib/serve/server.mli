@@ -54,6 +54,16 @@ val create :
     clients cannot pin worker fds.
     @raise Unix.Unix_error when the socket cannot be bound. *)
 
+val resolve_idle_timeout : float option -> float option
+(** The effective [idle_timeout] of {!create}: an explicit value as
+    given, else [DSE_IDLE_TIMEOUT] when it parses to seconds > 0, else
+    [None] (off).  The fleet router resolves its own the same way. *)
+
+val resolve_pipeline_depth : int option -> int
+(** The effective [pipeline_depth] of {!create}: an explicit value,
+    else an integer [DSE_PIPELINE_DEPTH], else 16 — clamped to
+    1..1024.  The fleet router resolves its own the same way. *)
+
 val serve : t -> unit
 (** Run until {!shutdown}; joins all workers before returning. *)
 

@@ -18,6 +18,8 @@
 #     to catch a reintroduced global lock, which costs ~3-8x);
 #   - when the current file carries "headline".speedup_at_100k, it must
 #     stay at or above SWEEP_MIN_SPEEDUP (default 5);
+#   - when the current file carries per-size rows (the sweep bench), no
+#     row may report "equivalent_to_naive": false;
 #   - fleet vs serve: the sharded aggregate must reach at least
 #     FLEET_MIN_SPEEDUP (default 2) times the single-server baseline.
 #     A --smoke fleet run reports the ratio but does not gate — smoke
@@ -156,6 +158,12 @@ print(f"bench-compare: baseline {old:.1f} req/s ({baseline_path}), "
 if new < floor:
     sys.exit(f"bench-compare: FAIL — current throughput {new:.1f} req/s is below "
              f"the allowed floor {floor:.1f} req/s ({allowed_drop:.0%} drop from baseline)")
+
+mismatched = [row.get("cores") for row in current_data.get("sizes", [])
+              if isinstance(row, dict) and row.get("equivalent_to_naive") is False]
+if mismatched:
+    sys.exit(f"bench-compare: FAIL — {current_path} reports equivalent_to_naive: false "
+             f"at {', '.join(str(n) for n in mismatched)} cores")
 
 speedup = current_data.get("headline", {}).get("speedup_at_100k")
 if isinstance(speedup, (int, float)):

@@ -530,6 +530,58 @@ let test_router_thin_vs_full () =
     (Printf.sprintf {|{"op":"signature","session":"diffa","trace":"%s","trace":"%s"}|} ctx ctx)
 
 (* ------------------------------------------------------------------ *)
+(* Connection churn: the router spawns a thread per connection, and
+   nothing it keeps per connection may outlive the connection.  Each
+   short connection asks [healthz] (answered by the router itself, so
+   no workers are needed) and hangs up; after a warm-up round the live
+   major heap must stay flat across thousands more.  Tracing is off for
+   the run: the span ring retains up to its capacity by design, which
+   would swamp the per-connection figure. *)
+
+let test_router_churn_flat () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let tracing = Ds_obs.Obs.enabled () in
+  Ds_obs.Obs.set_enabled false;
+  let dir = tmpdir "dse_test_churn" in
+  let sock = Filename.concat dir "router.sock" in
+  let router = Router.create ~socket:sock ~workers:[] () in
+  let th = Thread.create Router.serve router in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.shutdown router;
+      Thread.join th;
+      Ds_obs.Obs.set_enabled tracing;
+      rm_rf dir)
+  @@ fun () ->
+  let churn n =
+    for _ = 1 to n do
+      let c = ok_or (Client.connect_retry ~socket:sock ()) in
+      ignore (ok_or (Client.request_line c {|{"op":"healthz"}|}));
+      Client.close c
+    done
+  in
+  (* the reply can reach the client before its connection thread has
+     retired, so wait for the router to count every hang-up *)
+  let settle target =
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    while Router.connections_served router < target && Unix.gettimeofday () < deadline do
+      Thread.delay 0.01
+    done;
+    Alcotest.(check int) "every connection retired" target (Router.connections_served router);
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let warm = 500 and n = 5000 in
+  churn warm;
+  let before = settle warm in
+  churn n;
+  let after = settle (warm + n) in
+  let per_conn = float_of_int (after - before) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "live heap grew %.2f words per connection (%d -> %d)" per_conn before after)
+    true (per_conn < 1.0)
+
+(* ------------------------------------------------------------------ *)
 (* Cross-process trace assembly: a traced batch through the router
    leaves spans in two real processes (the router's ring lives in this
    process; the op spans in the worker), and the fleet-wide trace
@@ -759,6 +811,8 @@ let () =
             test_fleet_kill_restart_resume;
           Alcotest.test_case "thin-parse vs full-parse differential" `Quick
             test_router_thin_vs_full;
+          Alcotest.test_case "router connection churn holds memory flat" `Quick
+            test_router_churn_flat;
           Alcotest.test_case "cross-process trace assembly" `Quick test_fleet_trace_assembly;
           Alcotest.test_case "http observability plane" `Quick test_fleet_http_plane;
         ] );
