@@ -1,8 +1,9 @@
 (** The fleet's front door: one socket, N shards behind it.
 
-    The router accepts client connections (thread per connection — it
-    only shuffles lines, so hundreds of mostly-idle connections cost
-    file descriptors, not CPU), reads each request line, extracts the
+    The router accepts client connections through a
+    {!Ds_serve.Listener} (thread per connection — it only shuffles
+    lines, so hundreds of mostly-idle connections cost file
+    descriptors, not CPU), reads each request line, extracts the
     session id, and forwards the line verbatim to the worker the
     {!Ring} assigns that id — over the worker's {!Backend} slot pool.
     Replies stream back on the same connection, one line per line.
@@ -39,11 +40,13 @@
     unusual (escapes, missing fields, ops with router-side semantics)
     falls back to the full parse, so the fast path is an optimization,
     never a semantic fork ([dse_router_passthrough_total] counts the
-    hits).  Each connection is pipelined: after blocking for the first
-    request line the router drains whatever else has arrived (up to the
-    pipeline depth), coalesces same-shard forwards into one upstream
-    flush ({!Backend.round_trip_many}), and writes every reply — in
-    arrival order — through a single downstream flush.
+    hits).  Each connection runs the pipelined line loop it shares with
+    the worker server ({!Ds_serve.Listener.serve_lines}): after
+    blocking for the first request line it drains whatever else has
+    arrived (up to the pipeline depth); the router coalesces same-shard
+    forwards into one upstream flush ({!Backend.round_trip_many}), and
+    every reply leaves — in arrival order — through a single downstream
+    flush.
 
     The router records its own registry (request latency, upstream
     slot wait, unavailable counts) and injects it into merged [metrics]
@@ -57,7 +60,6 @@ val create :
   ?slots:int ->
   ?max_request:int ->
   ?pipeline_depth:int ->
-  ?thin_parse:bool ->
   ?idle_timeout:float ->
   unit ->
   t
@@ -66,15 +68,13 @@ val create :
     [idle_timeout] mirror {!Ds_serve.Server.create} (the idle default
     also honours [DSE_IDLE_TIMEOUT]).  [pipeline_depth] (default 16,
     clamped to 1..1024, env [DSE_PIPELINE_DEPTH]) bounds how many
-    already-arrived request lines one drain answers together;
-    [thin_parse] (default [true]) enables the pass-through fast path —
-    the differential test turns it off to compare both paths.
+    already-arrived request lines one drain answers together.
     @raise Unix.Unix_error when [socket] cannot be bound. *)
 
 val handle_line : t -> string -> string
-(** Route one request line to one reply line — the testable core (and
-    the full-parse slow path); [serve] wraps it in the pipelined
-    per-connection loop.
+(** Route one request line to one reply line through the full parse —
+    the testable core and the slow path; [serve] tries the
+    pass-through first and falls back to this.
 
     Trace propagation (DESIGN.md 18): a top-level ["trace"] member
     rides the forwarded bytes verbatim on both paths; the router opens

@@ -26,13 +26,15 @@ type t = {
   mutable monitor : Thread.t option;
 }
 
+(* The child gets these as its stdio (dup'd, which drops close-on-exec);
+   the flag keeps a worker spawned concurrently from inheriting them. *)
 let spawn spec =
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
   let log =
     match spec.w_log with
     | Some path ->
-      Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644
-    | None -> Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0
+      Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND; Unix.O_CLOEXEC ] 0o644
+    | None -> Unix.openfile "/dev/null" [ Unix.O_WRONLY; Unix.O_CLOEXEC ] 0
   in
   Fun.protect
     ~finally:(fun () ->

@@ -11,7 +11,10 @@ let default_max_response = 8 * 1024 * 1024
 
 let connect ?(max_response = default_max_response) ~socket () =
   match
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    (* close-on-exec: a worker process spawned while this connection is
+       open (the router's supervisor restarting a shard) must not
+       inherit it, or a close here would no longer reach the peer *)
+    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     try
       Unix.connect fd (Unix.ADDR_UNIX socket);
       Ok fd
@@ -151,7 +154,7 @@ let request_line t line = send_request_line t (trace_line line)
 
 (* N requests in flight on one connection: one coalesced write (a
    single flush carries every line), then the N replies in request
-   order — the FIFO guarantee the server's pipelined reader preserves.
+   order — the FIFO guarantee the server's pipelined line loop preserves.
    A [response_too_large] entry is {e answered} (its bytes were
    drained), so reading continues; a transport failure at reply [k]
    marks [k..] failed and stops. *)

@@ -10,12 +10,12 @@ type reply = { status : int; content_type : string; body : string }
 let ok ?(content_type = "text/plain; charset=utf-8") body =
   { status = 200; content_type; body }
 
-type t = {
-  fd : Unix.file_descr;
-  port : int;
-  stop : bool Atomic.t;
-  mutable thread : Thread.t option;
-}
+type t = { listener : Listener.t; thread : Thread.t }
+
+(* How long a client may take to send its request head.  A silent or
+   trickling client is dropped after this, so it cannot pin a handler
+   thread and its fd. *)
+let head_deadline = 2.0
 
 let parse_addr s =
   let port_of p = match int_of_string_opt (String.trim p) with
@@ -34,15 +34,6 @@ let addr_of_env () =
   | None | Some "" -> None
   | Some s -> parse_addr s
 
-let resolve host =
-  match Unix.inet_addr_of_string host with
-  | addr -> addr
-  | exception _ -> (
-    match Unix.gethostbyname host with
-    | { Unix.h_addr_list = [||]; _ } -> Unix.inet_addr_loopback
-    | h -> h.Unix.h_addr_list.(0)
-    | exception Not_found -> Unix.inet_addr_loopback)
-
 let status_text = function
   | 200 -> "OK"
   | 400 -> "Bad Request"
@@ -51,29 +42,23 @@ let status_text = function
   | 503 -> "Service Unavailable"
   | _ -> "Error"
 
-let write_all fd s =
-  let b = Bytes.unsafe_of_string s in
-  let n = Bytes.length b in
-  let off = ref 0 in
-  try
-    while !off < n do
-      off := !off + Unix.write fd b !off (n - !off)
-    done
-  with Unix.Unix_error _ | Sys_error _ -> ()
-
 let respond fd { status; content_type; body } =
-  write_all fd
-    (Printf.sprintf
-       "HTTP/1.1 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
-       status (status_text status) content_type (String.length body) body)
+  let out = Buffer.create (String.length body + 128) in
+  Printf.bprintf out
+    "HTTP/1.1 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
+    status (status_text status) content_type (String.length body) body;
+  (* a client that hung up mid-response costs nothing but its reply *)
+  try Lineio.flush_buffer fd out with Unix.Unix_error _ -> ()
 
 (* the request head, bounded: GETs have no body we care about, so read
-   until the blank line (or give up at 8 KiB / a read error) *)
+   until the blank line (or give up at 8 KiB, a read error, or
+   [head_deadline] — each read also times out after it) *)
 let read_head fd =
   let buf = Buffer.create 256 in
   let chunk = Bytes.create 1024 in
+  let give_up = Unix.gettimeofday () +. head_deadline in
   let rec go () =
-    if Buffer.length buf > 8192 then None
+    if Buffer.length buf > 8192 || Unix.gettimeofday () > give_up then None
     else
       let k = try Unix.read fd chunk 0 (Bytes.length chunk) with Unix.Unix_error _ -> 0 in
       if k = 0 then if Buffer.length buf > 0 then Some (Buffer.contents buf) else None
@@ -101,7 +86,7 @@ let read_head fd =
   go ()
 
 let handle_connection routes fd =
-  (match read_head fd with
+  match read_head fd with
   | None -> ()
   | Some head ->
     let line = match String.index_opt head '\n' with
@@ -121,46 +106,21 @@ let handle_connection routes fd =
         | Some r -> respond fd r
         | None -> respond fd { status = 404; content_type = "text/plain"; body = "not found\n" }
       end
-    | _ -> respond fd { status = 400; content_type = "text/plain"; body = "bad request\n" }));
-  try Unix.close fd with Unix.Unix_error _ -> ()
+    | _ -> respond fd { status = 400; content_type = "text/plain"; body = "bad request\n" })
 
 let start ~addr:(host, port) ~routes () =
-  match
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    try
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (resolve host, port));
-      Unix.listen fd 16;
-      Ok fd
-    with e ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      raise e
-  with
+  match Listener.bind ~recv_timeout:head_deadline (Listener.Tcp (host, port)) with
   | exception Unix.Unix_error (err, _, _) ->
     Error (Printf.sprintf "cannot bind http plane to %s:%d: %s" host port (Unix.error_message err))
-  | Error _ as e -> e
-  | Ok fd ->
-    let port =
-      match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | _ -> port
-    in
-    let t = { fd; port; stop = Atomic.make false; thread = None } in
+  | listener ->
+    (* a thread per request: requests are tiny, but a stalled scraper
+       must not block the accept loop *)
     let accept_loop () =
-      while not (Atomic.get t.stop) do
-        match Unix.select [ t.fd ] [] [] 0.2 with
-        | [ _ ], _, _ -> (
-          match Unix.accept t.fd with
-          | cfd, _ ->
-            (* a thread per request: requests are tiny, but a stalled
-               scraper must not block the accept loop *)
-            ignore (Thread.create (fun () -> handle_connection routes cfd) ())
-          | exception Unix.Unix_error _ -> ())
-        | _ -> ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | exception Unix.Unix_error (Unix.EBADF, _, _) -> Atomic.set t.stop true
-      done
+      Listener.serve listener
+        ~spawn:(fun job -> ignore (Thread.create job ()))
+        (fun ~accepted:_ fd -> handle_connection routes fd)
     in
-    t.thread <- Some (Thread.create accept_loop ());
-    Ok t
+    Ok { listener; thread = Thread.create accept_loop () }
 
 let start_from_env ~routes () =
   match addr_of_env () with
@@ -172,9 +132,8 @@ let start_from_env ~routes () =
       prerr_endline msg;
       None)
 
-let port t = t.port
+let port t = Listener.port t.listener
 
 let stop t =
-  Atomic.set t.stop true;
-  (match t.thread with Some th -> (try Thread.join th with _ -> ()) | None -> ());
-  try Unix.close t.fd with Unix.Unix_error _ -> ()
+  Listener.shutdown t.listener;
+  Thread.join t.thread

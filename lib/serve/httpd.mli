@@ -5,7 +5,9 @@
     JSON) — to curl, scrapers, and browsers.
 
     Deliberately minimal: GET only, one response per connection
-    ([Connection: close]), no TLS, no keep-alive.  It is a loopback
+    ([Connection: close]), no TLS, no keep-alive.  Connections arrive
+    through a {!Listener}, one systhread each; a client that has not
+    sent its request head within a fixed 2 s deadline is dropped.  It is a loopback
     diagnostics port, off by default; [dse serve] and the fleet router
     mount it when [DSE_METRICS_ADDR] is set.  Workers never mount it —
     they inherit the router's environment, and N workers racing to bind
@@ -31,7 +33,7 @@ val start :
   routes:(string -> reply option) ->
   unit ->
   (t, string) result
-(** Bind and start the accept loop on a daemon thread.  [routes] maps a
+(** Bind and start the accept loop on its own thread.  [routes] maps a
     request path (query string stripped) to a reply; [None] is a 404.
     Port 0 binds an ephemeral port — read it back with {!port} (how the
     tests avoid fixed-port collisions).  [Error] describes a failed
@@ -47,5 +49,5 @@ val port : t -> int
 (** The bound TCP port (the actual one, after ephemeral resolution). *)
 
 val stop : t -> unit
-(** Stop accepting, join the accept thread, close the listener.
-    In-flight responses on handler threads finish on their own. *)
+(** Stop accepting and drain: close the listener, half-close the open
+    connections, and return once every handler thread has finished. *)

@@ -25,8 +25,6 @@ type t = {
   mutable seq : int; (* lines appended through this handle *)
   mutable synced : int; (* entries covered by a completed fsync *)
   mutable syncing : bool; (* a leader's fsync is in flight *)
-  mutable syncs : int;
-  mutable batched : int; (* sync_to calls satisfied by another's fsync *)
   mutable broken : bool; (* a failed append could not be repaired *)
   mutable closed : bool;
 }
@@ -42,8 +40,6 @@ let make_t ~fd ~sync =
     seq = 0;
     synced = 0;
     syncing = false;
-    syncs = 0;
-    batched = 0;
     broken = false;
     closed = false;
   }
@@ -98,7 +94,7 @@ let guard_io f =
 
 (* Journal traffic aggregates into the global telemetry registry under
    the unified catalog (DESIGN.md 13): [dse_journal_fsync_batched_total]
-   is what the per-journal {!sync_stats} shim spells [batched]. *)
+   counts [sync_to] calls a leader's fsync already covered. *)
 module Obs = Ds_obs.Obs
 
 let m_appends = Obs.counter Obs.default "dse_journal_appends_total"
@@ -188,7 +184,6 @@ let rec sync_to t seq =
     Mutex.lock t.lock;
     if t.synced >= seq then begin
       (* a leader's fsync already covered this entry *)
-      t.batched <- t.batched + 1;
       Obs.incr m_batched;
       Mutex.unlock t.lock;
       Ok ()
@@ -218,7 +213,6 @@ let rec sync_to t seq =
       (match r with
       | Ok () ->
         t.synced <- Stdlib.max t.synced target;
-        t.syncs <- t.syncs + 1;
         Obs.incr m_fsyncs
       | Error _ -> ());
       Condition.broadcast t.synced_cond;
@@ -234,14 +228,6 @@ let sync_all t =
   let seq = t.seq in
   Mutex.unlock t.lock;
   sync_to t seq
-
-type sync_stats = { syncs : int; batched : int }
-
-let sync_stats t =
-  Mutex.lock t.lock;
-  let s = { syncs = t.syncs; batched = t.batched } in
-  Mutex.unlock t.lock;
-  s
 
 (* Close fsyncs first (in sync mode), so a [sync_to] racing the close
    — the store evicting a session between a mutation's reply path

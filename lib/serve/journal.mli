@@ -106,26 +106,14 @@ val sync_to : t -> int -> (unit, string) result
 (** Make every entry up to the given sequence number fsync-durable.
     No-op unless the journal was opened with [sync].  Group-committed:
     see the module docs.  Safe (and intended) to call without holding
-    any session lock. *)
+    any session lock.  Issued fsyncs count in [dse_journal_fsyncs_total]
+    and calls an earlier fsync already covered in
+    [dse_journal_fsync_batched_total] ({!Ds_obs.Obs.default}). *)
 
 val sync_all : t -> (unit, string) result
 (** {!sync_to} up to everything appended so far — what compaction calls
     before swapping handles, so no acknowledged entry's durability ever
     rides on a descriptor about to be closed. *)
-
-(** Group-commit effectiveness: [syncs] fsyncs actually issued,
-    [batched] {!sync_to} calls satisfied by another caller's fsync.
-
-    Deprecation shim: this per-journal record predates the telemetry
-    registry; the process-wide equivalents live in
-    {!Ds_obs.Obs.default} under the unified names
-    [dse_journal_fsyncs_total] / [dse_journal_fsync_batched_total]
-    (plus [dse_journal_appends_total] and the [dse_journal_fsync_us]
-    histogram).  Kept so existing assertions about one journal's
-    batching stay meaningful. *)
-type sync_stats = { syncs : int; batched : int }
-
-val sync_stats : t -> sync_stats
 
 val close : t -> unit
 

@@ -6,17 +6,10 @@ type t = {
   line : Buffer.t;  (* partial line carried across reads *)
   mutable dropping : bool;  (* current line already exceeded the limit *)
   mutable seen_eof : bool;
+  mutable filled : bool;  (* the last read filled [chunk]: the kernel may hold more *)
 }
 
-let create ?idle_timeout fd =
-  (match idle_timeout with
-  | Some s when s > 0.0 -> (
-    (* kernel-side receive timeout: a blocked read returns EAGAIN after
-       [s] seconds, which read_line reports as Idle.  Unix sockets
-       support it everywhere we run; if a platform refuses, the reader
-       degrades to the old block-forever behaviour. *)
-    try Unix.setsockopt_float fd Unix.SO_RCVTIMEO s with Unix.Unix_error _ -> ())
-  | _ -> ());
+let create fd =
   {
     fd;
     chunk = Bytes.create 8192;
@@ -25,6 +18,7 @@ let create ?idle_timeout fd =
     line = Buffer.create 256;
     dropping = false;
     seen_eof = false;
+    filled = false;
   }
 
 type result = Line of string | Overflow | Eof | Idle
@@ -34,22 +28,27 @@ let rec find_nl b i stop =
   else if Char.equal (Bytes.get b i) '\n' then Some i
   else find_nl b (i + 1) stop
 
+(* A drain probe: read without waiting.  A short read already left the
+   kernel buffer empty, so only a read that filled the chunk is followed
+   by a non-blocking one (a zero-timeout select would do the same but
+   fails on descriptors >= 1024). *)
+let read_now t =
+  Unix.set_nonblock t.fd;
+  Fun.protect
+    ~finally:(fun () -> try Unix.clear_nonblock t.fd with Unix.Unix_error _ -> ())
+    (fun () -> Unix.read t.fd t.chunk 0 (Bytes.length t.chunk))
+
 (* [block:false] turns the reader into a drain probe: it consumes
-   whatever is already buffered plus whatever a zero-timeout poll says
-   the kernel holds, and answers [None] the moment another byte would
-   require waiting.  The pipelined server/router use it to coalesce the
-   burst a client wrote in one flush without stalling on the next. *)
+   whatever is already buffered plus whatever the kernel holds right
+   now, and answers [None] the moment another byte would require
+   waiting.  The pipelined line loop ({!Listener.serve_lines}) uses it
+   to coalesce the burst a client wrote in one flush without stalling
+   on the next. *)
 let read_line_gen ~block ~limit t =
   let take_line () =
     let s = Buffer.contents t.line in
     Buffer.clear t.line;
     Some (Line s)
-  in
-  let readable_now () =
-    match Unix.select [ t.fd ] [] [] 0.0 with
-    | [], _, _ -> false
-    | _ -> true
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
   in
   let rec go () =
     if t.start < t.stop then begin
@@ -76,15 +75,16 @@ let read_line_gen ~block ~limit t =
       (* peer closed mid-line: hand the final unterminated line over
          once, then report Eof — same contract as the channel reader *)
       if Buffer.length t.line > 0 && not t.dropping then take_line () else Some Eof
-    else if (not block) && not (readable_now ()) then None
+    else if (not block) && not t.filled then None
     else begin
-      match Unix.read t.fd t.chunk 0 (Bytes.length t.chunk) with
+      match if block then Unix.read t.fd t.chunk 0 (Bytes.length t.chunk) else read_now t with
       | 0 ->
         t.seen_eof <- true;
         go ()
       | n ->
         t.start <- 0;
         t.stop <- n;
+        t.filled <- n = Bytes.length t.chunk;
         go ()
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         if block then Some Idle else None

@@ -3,24 +3,23 @@
     The server's original reader was built on [In_channel], which can
     only block forever: a leaked client pins a worker and an fd until
     the process dies.  This reader works on the descriptor directly so
-    an idle timeout can be pushed down to the kernel ([SO_RCVTIMEO]) —
-    a read that times out surfaces as {!Idle} instead of wedging the
-    worker.  Both the single-process server and the fleet router read
-    requests through it. *)
+    an idle timeout can be pushed down to the kernel ([SO_RCVTIMEO], set
+    by {!Listener} on each accepted connection) — a read that times out
+    surfaces as {!Idle} instead of wedging the worker.  The server, the
+    fleet router and the client all read lines through it. *)
 
 type t
 
-val create : ?idle_timeout:float -> Unix.file_descr -> t
-(** Wrap [fd].  With [idle_timeout] (seconds, > 0) the descriptor's
-    receive timeout is set once, so every subsequent blocking read
-    gives up after that long with {!Idle}.  Without it reads block
-    indefinitely, as before. *)
+val create : Unix.file_descr -> t
+(** Wrap [fd].  A blocking read gives up with {!Idle} when the
+    descriptor's receive timeout expires; without one it blocks until
+    the peer speaks or hangs up. *)
 
 type result =
   | Line of string  (** one request line, newline stripped *)
   | Overflow  (** the line exceeded [limit]; its bytes were drained *)
   | Eof  (** peer closed (a final unterminated line is returned as {!Line} first) *)
-  | Idle  (** no byte arrived within [idle_timeout] *)
+  | Idle  (** no byte arrived within the receive timeout *)
 
 val read_line : limit:int -> t -> result
 (** Next line from the stream.  A line longer than [limit] bytes is
@@ -30,10 +29,11 @@ val read_line : limit:int -> t -> result
 
 val read_line_ready : limit:int -> t -> result option
 (** Like {!read_line} but never waits: consumes only bytes already
-    buffered or reported readable by a zero-timeout poll, answering
-    [None] the moment more would require blocking.  The pipelined
-    router drains a client's burst with this — one blocking read for
-    the first line, ready-reads for the rest of the flush. *)
+    buffered, plus — when the last read filled the buffer — one
+    non-blocking read, answering [None] the moment more would require
+    blocking.  Works on any descriptor number.  The pipelined line loop
+    drains a client's burst with this — one blocking read for the first
+    line, ready-reads for the rest of the flush. *)
 
 val flush_buffer : Unix.file_descr -> Buffer.t -> unit
 (** Write the buffer's whole contents to [fd] (looping over short

@@ -1,7 +1,7 @@
 (** The Unix-domain-socket front end of the exploration service.
 
-    Connection model: one listener thread accepts and enqueues
-    connections; a bounded pool of {e worker domains} serves them, one
+    Connection model: a {!Listener} accepts and enqueues connections;
+    a bounded pool of {e worker domains} serves them, one
     connection per worker at a time (connection-per-worker over a
     bounded pool).  A connection is a sequence of request lines, each
     answered with exactly one reply line.  {!Service.handle} is safe
@@ -11,21 +11,22 @@
     its worker.  The wait from accept to worker pickup is recorded as
     the server-side queueing delay ([queue_wait] under [stats]).
 
-    Each connection is {e pipelined}: a reader systhread decodes
-    request lines ahead of dispatch into a bounded queue (up to the
-    pipeline depth undispatched), and replies accumulate in a
-    per-connection buffer that is flushed whenever the queue runs
-    momentarily dry — a client keeping N requests in flight gets its
-    burst answered through one coalesced write, while a strict
-    request/reply client keeps the historical one-write-per-reply
-    behaviour.  Replies always leave in request order (FIFO).
+    Each connection is {e pipelined} by the loop it shares with the
+    fleet router ({!Listener.serve_lines}), on the worker that owns it
+    and with no thread of its own: block for one request line, drain
+    the lines that have already arrived (up to the pipeline depth),
+    answer them in order and write every reply through one flush — a
+    client keeping N requests in flight gets its burst answered through
+    one coalesced write, while a strict request/reply client gets one
+    write per reply.  Replies always leave in request order (FIFO).
 
     Shutdown is graceful: {!shutdown} (typically called from a SIGTERM
-    handler — see {!install_signal_handlers}) stops accepting, wakes
-    the workers, lets in-flight requests finish, closes the
-    connections, joins the pool and unlinks the socket file.  Journals
-    are flushed per request, so even a SIGKILL loses at most the reply
-    in flight — never an acknowledged mutation. *)
+    handler — see {!install_signal_handlers}) stops accepting,
+    half-closes the connections, lets in-flight requests finish, waits
+    until every connection is closed, joins the pool and unlinks the
+    socket file.  Journals are flushed per request, so even a SIGKILL
+    loses at most the reply in flight — never an acknowledged
+    mutation. *)
 
 type t
 
@@ -45,7 +46,7 @@ val create :
     the connection staying alive — a malformed client cannot grow an
     unbounded server-side buffer.  [pipeline_depth] (default 16,
     clamped to 1..1024; env [DSE_PIPELINE_DEPTH]) bounds how many
-    requests one connection may have decoded ahead of dispatch — depth
+    already-arrived request lines one drain answers together — depth
     1 restores strict request/reply lockstep.  [idle_timeout]
     (seconds; default:
     the [DSE_IDLE_TIMEOUT] environment variable, else off) closes
@@ -53,16 +54,6 @@ val create :
     [dse_serve_idle_reaped_total] in the service registry — leaked
     clients cannot pin worker fds.
     @raise Unix.Unix_error when the socket cannot be bound. *)
-
-val resolve_idle_timeout : float option -> float option
-(** The effective [idle_timeout] of {!create}: an explicit value as
-    given, else [DSE_IDLE_TIMEOUT] when it parses to seconds > 0, else
-    [None] (off).  The fleet router resolves its own the same way. *)
-
-val resolve_pipeline_depth : int option -> int
-(** The effective [pipeline_depth] of {!create}: an explicit value,
-    else an integer [DSE_PIPELINE_DEPTH], else 16 — clamped to
-    1..1024.  The fleet router resolves its own the same way. *)
 
 val serve : t -> unit
 (** Run until {!shutdown}; joins all workers before returning. *)

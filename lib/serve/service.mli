@@ -89,8 +89,9 @@ val handle :
     [trace] is the request's propagated [(trace_id, parent_span_id)]
     context (DESIGN.md 18): the [op.<name>] span becomes a
     remote-parented root ({!Ds_obs.Obs.span_begin_remote}), subject to
-    head sampling.  [queue_us] is the accept-to-dispatch wait the
-    transport measured; both it and the per-phase latency breakdown
+    head sampling.  [queue_us] is the wait from the read of the
+    request's pipelined group to its dispatch, as the transport
+    measured it; both it and the per-phase latency breakdown
     (slot lock, layer sweep, journal append, group-commit fsync, reply
     flush) are recorded as span attrs, and a request slower than
     [DSE_SLOW_MS] logs its span tree to the bounded slow log. *)
@@ -99,6 +100,11 @@ val registry : t -> Ds_obs.Obs.registry
 (** The service's metrics registry ([dse_request_us{op="..."}]
     histograms and [dse_queue_wait_us]); the [metrics] protocol op
     exports it together with the engine's {!Ds_obs.Obs.default}. *)
+
+val registry_json : Ds_obs.Obs.registry -> Jsonx.t
+(** One registry as the [metrics] reply carries it:
+    [{counters, gauges, histograms}], non-finite floats as 0.  The
+    fleet router renders its own registry with it too. *)
 
 val record_queue_wait : t -> float -> unit
 (** Record one request's accept-to-dispatch wait (µs) in the
@@ -115,8 +121,8 @@ val handle_line_into : ?queue_us:float -> t -> Buffer.t -> string -> unit
     server appends each reply to its per-connection coalescing buffer
     without an intermediate string.  Extracts the line's ["trace"]
     member (if any) and times the reply print as the request's flush
-    phase; [queue_us] is the per-line queue wait measured by the
-    server's reader/worker handoff. *)
+    phase; [queue_us] is the per-line wait from the group's read to
+    dispatch, measured by {!Server}. *)
 
 val session_count : t -> int
 

@@ -6,7 +6,8 @@
 #     (never a hung or torn connection),
 #   - the supervisor restarts the dead worker in place,
 #   - the restarted worker resumes its sessions from its journal
-#     directory with bit-identical candidate signatures.
+#     directory with bit-identical candidate signatures,
+#   - the restarted worker inherits none of the router's sockets.
 set -eu
 
 root=$(cd "$(dirname "$0")/.." && pwd)
@@ -141,6 +142,32 @@ done
 if ! grep -q 'restarted worker w0' "$work/fleet.log"; then
     echo "FAIL: supervisor did not log the w0 restart:" >&2
     cat "$work/fleet.log" >&2
+    exit 1
+fi
+
+# The replacement w0 was spawned by the router process while it held its
+# listening socket and its client and backend connections; all of them
+# are close-on-exec, so the new worker must share no socket with it.
+socket_inodes() {
+    for link in /proc/"$1"/fd/*; do
+        readlink "$link" 2>/dev/null || true
+    done | grep '^socket:' | sort -u
+}
+new_w0=$(pgrep -f "fleet worker --socket $fleet_dir/w0.sock" | head -1)
+if [ -z "$new_w0" ]; then
+    echo "FAIL: cannot find the restarted w0 worker process" >&2
+    exit 1
+fi
+socket_inodes "$fleet" > "$work/router_sockets.txt"
+socket_inodes "$new_w0" > "$work/w0_sockets.txt"
+if [ ! -s "$work/router_sockets.txt" ]; then
+    echo "FAIL: cannot list the router's sockets under /proc/$fleet/fd" >&2
+    exit 1
+fi
+shared=$(comm -12 "$work/router_sockets.txt" "$work/w0_sockets.txt")
+if [ -n "$shared" ]; then
+    echo "FAIL: the restarted w0 inherited router sockets:" >&2
+    echo "$shared" >&2
     exit 1
 fi
 

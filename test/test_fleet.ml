@@ -313,6 +313,16 @@ let test_fleet_healthz () =
           (Supervisor.workers sup)
       | None -> Alcotest.fail "healthz without workers")
 
+(* The ["socket:[inode]"] links under /proc/<pid>/fd. *)
+let socket_inodes pid =
+  let dir = Printf.sprintf "/proc/%s/fd" pid in
+  Array.to_list (try Sys.readdir dir with Sys_error _ -> [||])
+  |> List.filter_map (fun e ->
+         match Unix.readlink (Filename.concat dir e) with
+         | link when String.starts_with ~prefix:"socket:" link -> Some link
+         | _ -> None
+         | exception Unix.Unix_error _ -> None)
+
 let test_fleet_kill_restart_resume () =
   with_fleet (fun sup router ->
       let ring = Ring.create (List.map fst (Supervisor.workers sup)) in
@@ -372,13 +382,22 @@ let test_fleet_kill_restart_resume () =
       Alcotest.(check int) "w0 restarted once" 1
         (Option.value (List.assoc_opt "w0" restarts) ~default:(-1));
       Alcotest.(check int) "w1 untouched" 0
-        (Option.value (List.assoc_opt "w1" restarts) ~default:(-1)))
+        (Option.value (List.assoc_opt "w1" restarts) ~default:(-1));
+      (* the replacement was spawned while this process held the
+         router's listening socket and its backend connections: none of
+         them may have leaked into it (close-on-exec), or closing them
+         here would no longer reach the peer *)
+      let w0 = Option.get (Supervisor.pid sup "w0") in
+      let ours = socket_inodes "self" in
+      Alcotest.(check (list string)) "restarted w0 inherits none of our sockets" []
+        (List.filter (fun s -> List.mem s ours) (socket_inodes (string_of_int w0))))
 
 (* ------------------------------------------------------------------ *)
-(* Pass-through differential: a thin-parse router and a full-parse
-   router over the same workers must answer every op with the same
-   bytes (modulo the session id), including every error shape — the
-   fast path is an optimization, never a semantic fork. *)
+(* Pass-through differential: one router answers session a over its
+   socket (the thin-parse pass-through) and session b through
+   [Router.handle_line] (always the full parse); every op must get the
+   same bytes (modulo the session id), including every error shape —
+   the fast path is an optimization, never a semantic fork. *)
 
 module Client = Ds_serve.Client
 
@@ -414,36 +433,39 @@ let test_router_thin_vs_full () =
     Supervisor.stop sup;
     rm_rf dir;
     Alcotest.failf "fleet not ready: %s" msg);
-  let workers = Supervisor.workers sup in
-  let mk name thin =
-    let sock = Filename.concat dir (name ^ ".sock") in
-    let r = Router.create ~socket:sock ~workers ~slots:4 ~thin_parse:thin () in
-    (sock, r, Thread.create Router.serve r)
-  in
-  let sock_t, r_t, th_t = mk "thin" true in
-  let sock_f, r_f, th_f = mk "full" false in
+  let sock = Filename.concat dir "router.sock" in
+  let r = Router.create ~socket:sock ~workers:(Supervisor.workers sup) ~slots:4 () in
+  let th = Thread.create Router.serve r in
   Fun.protect
     ~finally:(fun () ->
-      Router.shutdown r_t;
-      Router.shutdown r_f;
-      Thread.join th_t;
-      Thread.join th_f;
+      Router.shutdown r;
+      Thread.join th;
       Supervisor.stop sup;
       rm_rf dir)
   @@ fun () ->
-  let ct = ok_or (Client.connect_retry ~socket:sock_t ()) in
-  let cf = ok_or (Client.connect_retry ~socket:sock_f ()) in
-  Fun.protect
-    ~finally:(fun () ->
-      Client.close ct;
-      Client.close cf)
-  @@ fun () ->
-  (* two sessions with identical histories, one driven through each
-     router; ids share a length so reply bytes align after renaming *)
+  let ct = ok_or (Client.connect_retry ~socket:sock ()) in
+  Fun.protect ~finally:(fun () -> Client.close ct) @@ fun () ->
+  let passthrough () =
+    Option.value ~default:0
+      (List.assoc_opt "dse_router_passthrough_total" (Ds_obs.Obs.counters (Router.registry r)))
+  in
+  (* the two paths share one counter: attribute each delta to the path
+     that produced it *)
+  let thin_hits = ref 0 and full_hits = ref 0 in
+  let counted hits f =
+    let before = passthrough () in
+    let reply = f () in
+    hits := !hits + (passthrough () - before);
+    reply
+  in
+  let thin line = counted thin_hits (fun () -> ok_or (Client.request_line ct line)) in
+  let full line = counted full_hits (fun () -> Router.handle_line r line) in
+  (* two sessions with identical histories, one driven down each path;
+     ids share a length so reply bytes align after renaming *)
   let sid_t = "diffa" and sid_f = "diffb" in
   let differential ctx template =
-    let reply_t = ok_or (Client.request_line ct (replace template "%s" sid_t)) in
-    let reply_f = ok_or (Client.request_line cf (replace template "%s" sid_f)) in
+    let reply_t = thin (replace template "%s" sid_t) in
+    let reply_f = full (replace template "%s" sid_f) in
     Alcotest.(check string) ctx reply_t (replace reply_f sid_f sid_t)
   in
   List.iter
@@ -477,47 +499,36 @@ let test_router_thin_vs_full () =
   (* a \u-escaped session id bails the thin scanner to the full parse;
      the raw line is still forwarded verbatim, so the reply must equal
      the plain-id reply *)
-  let esc_t =
-    ok_or (Client.request_line ct {|{"op":"signature","session":"diff\u0061"}|})
-  in
-  let esc_f =
-    ok_or (Client.request_line cf {|{"op":"signature","session":"diff\u0062"}|})
-  in
+  let esc_t = thin {|{"op":"signature","session":"diff\u0061"}|} in
+  let esc_f = full {|{"op":"signature","session":"diff\u0062"}|} in
   Alcotest.(check string) "escaped id routes identically" esc_t
     (replace esc_f sid_f sid_t);
   Alcotest.(check string) "escaped id answers like the plain id" esc_t
-    (ok_or (Client.request_line ct {|{"op":"signature","session":"diffa"}|}));
+    (thin {|{"op":"signature","session":"diffa"}|});
   (* lines the thin scanner must hand to the full parse unchanged *)
-  let same_error ctx line =
-    let reply_t = ok_or (Client.request_line ct line) in
-    let reply_f = ok_or (Client.request_line cf line) in
-    Alcotest.(check string) ctx reply_t reply_f
-  in
+  let same_error ctx line = Alcotest.(check string) ctx (thin line) (full line) in
   same_error "malformed json" "{\"op\":\"signature\",";
   same_error "unknown op" {|{"op":"frobnicate","session":"x"}|};
   same_error "unknown session" {|{"op":"signature","session":"ghost"}|};
   same_error "duplicate op keys" {|{"op":"signature","op":"candidates","session":"diffa"}|};
-  (* the fast path was actually exercised on the thin router and never
-     on the full-parse one *)
-  let passthrough r =
-    Option.value ~default:0
-      (List.assoc_opt "dse_router_passthrough_total" (Ds_obs.Obs.counters (Router.registry r)))
-  in
+  (* the fast path was actually exercised over the socket and never by
+     [handle_line] *)
   Alcotest.(check bool)
-    (Printf.sprintf "thin router forwarded verbatim (%d)" (passthrough r_t))
-    true (passthrough r_t >= 10);
-  Alcotest.(check int) "full-parse router never did" 0 (passthrough r_f);
+    (Printf.sprintf "socket path forwarded verbatim (%d)" !thin_hits)
+    true (!thin_hits >= 10);
+  Alcotest.(check int) "handle_line never did" 0 !full_hits;
   (* trace propagation: a well-formed top-level "trace" member rides
      the fast path (and both paths answer the same bytes); an escaped
      or duplicated trace member bails the thin scanner to the full
      parse — never a semantic fork *)
   let traced ctx ~fast line =
-    let before = passthrough r_t in
-    let reply_t = ok_or (Client.request_line ct line) in
-    let reply_f = ok_or (Client.request_line cf line) in
+    let thin_before = !thin_hits and full_before = !full_hits in
+    let reply_t = thin line in
+    let reply_f = full line in
     Alcotest.(check string) ctx reply_t reply_f;
     Alcotest.(check int) (ctx ^ ": thin fast-path delta") (if fast then 1 else 0)
-      (passthrough r_t - before)
+      (!thin_hits - thin_before);
+    Alcotest.(check int) (ctx ^ ": handle_line fast-path delta") 0 (!full_hits - full_before)
   in
   let ctx = "00112233445566778899aabbccddeeff-0123456789abcdef" in
   traced "well-formed trace stays fast" ~fast:true
@@ -530,56 +541,123 @@ let test_router_thin_vs_full () =
     (Printf.sprintf {|{"op":"signature","session":"diffa","trace":"%s","trace":"%s"}|} ctx ctx)
 
 (* ------------------------------------------------------------------ *)
-(* Connection churn: the router spawns a thread per connection, and
-   nothing it keeps per connection may outlive the connection.  Each
-   short connection asks [healthz] (answered by the router itself, so
-   no workers are needed) and hangs up; after a warm-up round the live
-   major heap must stay flat across thousands more.  Tracing is off for
-   the run: the span ring retains up to its capacity by design, which
-   would swamp the per-connection figure. *)
+(* The socket front ends — the router and the worker server — run
+   in-process with nothing behind them: [healthz] is answered by the
+   router itself and by the service without a session.  [f] gets the
+   socket and the front end's retired-connection count. *)
 
-let test_router_churn_flat () =
+let with_front_end kind f =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let tracing = Ds_obs.Obs.enabled () in
-  Ds_obs.Obs.set_enabled false;
-  let dir = tmpdir "dse_test_churn" in
-  let sock = Filename.concat dir "router.sock" in
-  let router = Router.create ~socket:sock ~workers:[] () in
-  let th = Thread.create Router.serve router in
+  let dir = tmpdir "dse_test_front" in
+  let sock = Filename.concat dir "front.sock" in
+  let served, shutdown, serve =
+    match kind with
+    | `Router ->
+      let r = Router.create ~socket:sock ~workers:[] () in
+      ((fun () -> Router.connections_served r), (fun () -> Router.shutdown r), fun () -> Router.serve r)
+    | `Server ->
+      let svc =
+        Ds_serve.Service.create (Ds_serve.Service.config ~layers:Ds_domains.Catalog.factories ())
+      in
+      let s = Ds_serve.Server.create ~socket:sock ~pool:2 svc in
+      ( (fun () -> Ds_serve.Server.connections_served s),
+        (fun () -> Ds_serve.Server.shutdown s),
+        fun () -> Ds_serve.Server.serve s )
+  in
+  let th = Thread.create serve () in
   Fun.protect
     ~finally:(fun () ->
-      Router.shutdown router;
+      shutdown ();
       Thread.join th;
-      Ds_obs.Obs.set_enabled tracing;
       rm_rf dir)
-  @@ fun () ->
-  let churn n =
-    for _ = 1 to n do
+    (fun () -> f sock served)
+
+let front_end_name = function `Router -> "router" | `Server -> "server"
+
+let expect_healthz ctx c =
+  let reply = reply_fields (ok_or (Client.request_line c {|{"op":"healthz"}|})) in
+  match Option.bind (J.member "ok" reply) J.to_bool with
+  | Some true -> ()
+  | _ -> Alcotest.failf "%s: healthz failed: %s" ctx (J.to_string reply)
+
+(* Connection churn: nothing a front end keeps per connection may
+   outlive the connection.  Each short connection asks [healthz] and
+   hangs up; after a warm-up round the live major heap must stay flat
+   across thousands more.  Tracing is off for the run: the span ring
+   retains up to its capacity by design, which would swamp the
+   per-connection figure. *)
+
+let test_router_churn_flat () =
+  let tracing = Ds_obs.Obs.enabled () in
+  Ds_obs.Obs.set_enabled false;
+  Fun.protect ~finally:(fun () -> Ds_obs.Obs.set_enabled tracing) @@ fun () ->
+  List.iter
+    (fun kind ->
+      let name = front_end_name kind in
+      with_front_end kind @@ fun sock served ->
+      let churn n =
+        for _ = 1 to n do
+          let c = ok_or (Client.connect_retry ~socket:sock ()) in
+          expect_healthz name c;
+          Client.close c
+        done
+      in
+      (* the reply can reach the client before its connection has
+         retired, so wait for the front end to count every hang-up *)
+      let settle target =
+        let deadline = Unix.gettimeofday () +. 10.0 in
+        while served () < target && Unix.gettimeofday () < deadline do
+          Thread.delay 0.01
+        done;
+        Alcotest.(check int) (name ^ ": every connection retired") target (served ());
+        Gc.full_major ();
+        (Gc.stat ()).Gc.live_words
+      in
+      let warm = 500 and n = 5000 in
+      churn warm;
+      let before = settle warm in
+      churn n;
+      let after = settle (warm + n) in
+      let per_conn = float_of_int (after - before) /. float_of_int n in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: live heap grew %.2f words per connection (%d -> %d)" name per_conn
+           before after)
+        true (per_conn < 1.0))
+    [ `Router; `Server ]
+
+(* Descriptors >= 1024: a worker holds one journal fd per open session,
+   so its late-accepted connections can land above the select(2)
+   limit.  Pad this process's descriptor table past 1024, then a
+   round trip through each front end must still be answered (a
+   select-based drain probe raised EINVAL there and dropped the
+   connection), and so must a pipelined burst larger than the 8 KiB
+   read buffer, which takes the non-blocking drain read. *)
+
+let test_high_fd_round_trip () =
+  let pads = List.init 1100 (fun _ -> Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0) in
+  Fun.protect ~finally:(fun () -> List.iter Unix.close pads) @@ fun () ->
+  List.iter
+    (fun kind ->
+      let name = front_end_name kind in
+      with_front_end kind @@ fun sock _ ->
       let c = ok_or (Client.connect_retry ~socket:sock ()) in
-      ignore (ok_or (Client.request_line c {|{"op":"healthz"}|}));
-      Client.close c
-    done
-  in
-  (* the reply can reach the client before its connection thread has
-     retired, so wait for the router to count every hang-up *)
-  let settle target =
-    let deadline = Unix.gettimeofday () +. 10.0 in
-    while Router.connections_served router < target && Unix.gettimeofday () < deadline do
-      Thread.delay 0.01
-    done;
-    Alcotest.(check int) "every connection retired" target (Router.connections_served router);
-    Gc.full_major ();
-    (Gc.stat ()).Gc.live_words
-  in
-  let warm = 500 and n = 5000 in
-  churn warm;
-  let before = settle warm in
-  churn n;
-  let after = settle (warm + n) in
-  let per_conn = float_of_int (after - before) /. float_of_int n in
-  Alcotest.(check bool)
-    (Printf.sprintf "live heap grew %.2f words per connection (%d -> %d)" per_conn before after)
-    true (per_conn < 1.0)
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      (* a front end that stopped accepting must fail the test, not
+         hang it *)
+      Unix.setsockopt_float (Client.fd c) Unix.SO_RCVTIMEO 10.0;
+      (* on Unix a descriptor is its number; the accepted end is
+         allocated after this one *)
+      Alcotest.(check bool) (name ^ ": connection above fd 1024") true
+        ((Obj.magic (Client.fd c) : int) >= 1024);
+      expect_healthz name c;
+      List.iter
+        (fun reply ->
+          let reply = ok_or reply in
+          match Option.bind (J.member "ok" (reply_fields reply)) J.to_bool with
+          | Some true -> ()
+          | _ -> Alcotest.failf "%s: pipelined healthz failed: %s" name reply)
+        (Client.pipeline c (List.init 600 (fun _ -> {|{"op":"healthz"}|}))))
+    [ `Router; `Server ]
 
 (* ------------------------------------------------------------------ *)
 (* Cross-process trace assembly: a traced batch through the router
@@ -723,6 +801,26 @@ let test_fleet_http_plane () =
       Fun.protect ~finally:(fun () -> Ds_serve.Httpd.stop h)
       @@ fun () ->
       let port = Ds_serve.Httpd.port h in
+      (* a client that connects and never sends its head is dropped
+         after the head deadline (2 s), while the plane keeps answering
+         meanwhile *)
+      let silent = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.connect silent (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      let t0 = Unix.gettimeofday () in
+      let status, _ = http_get port "/metrics" in
+      Alcotest.(check int) "/metrics answers beside a silent client" 200 status;
+      Unix.setsockopt_float silent Unix.SO_RCVTIMEO 6.0;
+      let dropped =
+        match Unix.read silent (Bytes.create 1) 0 1 with
+        | n -> n = 0
+        | exception Unix.Unix_error _ -> false
+      in
+      let waited = Unix.gettimeofday () -. t0 in
+      Unix.close silent;
+      Alcotest.(check bool)
+        (Printf.sprintf "silent client dropped within the deadline (%.2fs)" waited)
+        true
+        (dropped && waited < 3.5);
       (* /metrics: one exposition per shard plus the router's own *)
       let status, body = http_get port "/metrics" in
       Alcotest.(check int) "/metrics status" 200 status;
@@ -813,6 +911,8 @@ let () =
             test_router_thin_vs_full;
           Alcotest.test_case "router connection churn holds memory flat" `Quick
             test_router_churn_flat;
+          Alcotest.test_case "round trip on a descriptor above 1024" `Quick
+            test_high_fd_round_trip;
           Alcotest.test_case "cross-process trace assembly" `Quick test_fleet_trace_assembly;
           Alcotest.test_case "http observability plane" `Quick test_fleet_http_plane;
         ] );
